@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Set
 
+from ..graphs.properties import bfs_levels
 from ..graphs.topology import Topology
 from ..sim.network import ROOT_CRASH_ERROR
 
@@ -104,6 +105,16 @@ class FailureSchedule:
         crash_times = sorted(set(self.crash_rounds.values()))
         for when in crash_times:
             failed = self.failed_by(when)
+            if topology.root not in failed:
+                # One BFS from the root brackets diam(H) exactly enough:
+                # ecc(root) <= diam(H) <= 2 ecc(root).  Only the band in
+                # between needs the all-pairs diameter.
+                levels = bfs_levels(topology.adjacency, topology.root, failed)
+                ecc = max(levels.values())
+                if max(1, 2 * ecc) <= bound:
+                    continue
+                if ecc > bound:
+                    return False
             if topology.remaining_diameter(failed) > bound:
                 return False
         return True

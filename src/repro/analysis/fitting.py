@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # imported on first use: numpy adds ~13 MB resident
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,8 @@ class FitResult:
 
 
 def _r_squared(ys: np.ndarray, preds: np.ndarray) -> float:
+    import numpy as np
+
     residual = float(np.sum((ys - preds) ** 2))
     total = float(np.sum((ys - np.mean(ys)) ** 2))
     if total == 0:
@@ -51,6 +54,8 @@ def fit_linear_basis(
     come out negative are clamped to zero and the fit is redone without
     them (adequate for our 2-term models).
     """
+    import numpy as np
+
     y = np.asarray(ys, dtype=float)
     b_mat = np.asarray(basis, dtype=float).T  # samples x terms
     active = list(range(b_mat.shape[1]))
@@ -89,6 +94,8 @@ def fit_theorem1_b_sweep(
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
     """Fit ``y = a * x^k`` by log-log linear regression."""
+    import numpy as np
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
@@ -105,6 +112,8 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
 
 def fit_affine(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
     """Fit ``y = a + b*x`` (used for the CC-linear-in-t claim)."""
+    import numpy as np
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     b, a = np.polyfit(x, y, 1)

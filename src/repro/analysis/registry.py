@@ -248,6 +248,16 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "bench_byzantine.py",
         ("e27_byzantine.txt", "e27_byz_cc_isolation.txt"),
     ),
+    Experiment(
+        "E28",
+        "Reproduction infrastructure: event-driven round scheduler",
+        "calling a handler only on an inbox or a declared phase slot cuts "
+        "algorithm1 / unknown_f handler calls by 5-61x and their wall "
+        "time by >= 2x on grids from 16x16 up, with result, rounds and "
+        "protocol CC identical to the every-round loop",
+        "bench_core_throughput.py",
+        ("e28_core_throughput.txt",),
+    ),
 )
 
 

@@ -935,7 +935,10 @@ def wall_clock_limit(seconds: Optional[float]):
         yield
         return
 
+    fired = []
+
     def _on_alarm(signum, frame):
+        fired.append(True)
         raise RunTimeout(f"run exceeded {seconds}s wall clock")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
@@ -945,6 +948,10 @@ def wall_clock_limit(seconds: Optional[float]):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    if fired:
+        # The alarm's raise landed where Python swallows exceptions (a gc
+        # callback or a finalizer), so the run finished — late.
+        raise RunTimeout(f"run exceeded {seconds}s wall clock")
 
 
 def error_record(

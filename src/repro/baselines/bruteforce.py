@@ -62,11 +62,8 @@ class BruteForceNode(NodeHandler):
         self.values: Dict[int, int] = {}
         self.done = False
         self.result: Optional[int] = None
-
-    @property
-    def total_rounds(self) -> int:
-        """``2c`` flooding rounds, as in the paper's analysis."""
-        return 2 * self.p.cd
+        #: ``2c`` flooding rounds, as in the paper's analysis.
+        self.total_rounds = 2 * params.cd
 
     def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
         rel = rnd - self.start_round + 1
@@ -91,6 +88,16 @@ class BruteForceNode(NodeHandler):
             self.result = self.p.caaf.combine(self.values.values())
             self.done = True
         return out
+
+    def next_wake(self, rnd: int) -> Optional[int]:
+        """The root runs in the first round (it starts the flood) and the
+        last (it outputs); every other call is driven by deliveries."""
+        if not self.is_root:
+            return None
+        for rel in (1, self.total_rounds):
+            if self.start_round + rel - 1 > rnd:
+                return self.start_round + rel - 1
+        return None
 
     def _flood_own_value(self) -> None:
         if self.floods.initiate(bf_value(self.p, self.node_id, self.my_value)):

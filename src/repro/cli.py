@@ -66,6 +66,7 @@ from .analysis import (
 from .analysis.asciiplot import plot_series
 from .extensions.quantiles import distributed_select
 from .graphs import io as graph_io
+from .sim.validation import ModelViolation
 
 
 def parse_topology(spec: str, seed: int = 0) -> graphs.Topology:
@@ -140,6 +141,10 @@ FAULT_FLAG_ACTIVITY = {
         lambda a: bool(getattr(a, "allow_root_crash", False)),
     ),
     "byz": ("--byz", lambda a: bool(getattr(a, "byz", None))),
+    "integrity": (
+        "--integrity",
+        lambda a: getattr(a, "integrity", "off") not in (None, "off"),
+    ),
 }
 
 #: The single shared mutual-exclusion table for fault-model flags:
@@ -162,6 +167,11 @@ FAULT_EXCLUSIONS = (
         "hedge",
         "churn",
         "the churn epoch manager assumes fixed-window round arithmetic",
+    ),
+    (
+        "churn",
+        "integrity",
+        "the churn epoch manager does not run authenticated frames",
     ),
     (
         "byz",
@@ -1853,6 +1863,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     cap = _obs_from_args(args)
     try:
         return args.func(args)
+    except ModelViolation as exc:
+        # A configuration outside the paper's model is a usage error, not
+        # a crash: name every broken assumption and exit 2, like argparse.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # Sweeps flush completed rows to --resume checkpoints before the
         # interrupt propagates here; rerunning the same command resumes.

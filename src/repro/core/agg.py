@@ -30,6 +30,7 @@ happens (Theorem 4) and AGG outputs a correct result.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -64,13 +65,141 @@ class TreeState:
     critical_failures: Set[int] = field(default_factory=set)
 
 
-class AggNode(NodeHandler):
+class PhasedNode(NodeHandler):
+    """What AGG and VERI share: fixed phase windows counted from
+    ``start_round``, root-timeline phase spans, wake slots and the
+    fragment-boundary rule of the witness logic.
+
+    Every phase is a full flood (``2cd + 1`` rounds) except the last
+    (``cd + 1``).  Subclasses name the phases, set ``_slots`` (the absolute
+    rounds a non-root node must run with an empty inbox) and ``_budget``
+    (the bit threshold), and say how the node halts (:meth:`_halt`).
+    """
+
+    #: Phase names in dispatch order, and their span category.
+    OBS_PHASES: Tuple[str, ...] = ()
+    OBS_CAT = ""
+    #: Kind of the special symbol flooded when the bit budget runs out.
+    HALT_KIND = ""
+
+    def __init__(
+        self,
+        params: ProtocolParams,
+        node_id: int,
+        start_round: int,
+        flood_kinds,
+    ) -> None:
+        self.p = params
+        self.node_id = node_id
+        self.is_root = node_id == params.root
+        self.start_round = start_round
+        self.floods = FloodManager(flood_kinds)
+        cd = self._cd = params.cd
+        #: Last relative round of every phase but the last, and in total.
+        phases = range(1, len(self.OBS_PHASES))
+        self._ends = tuple(k * (2 * cd + 1) for k in phases)
+        self._rounds = self._ends[-1] + cd + 1
+        self._slots: Tuple[int, ...] = ()
+        self.bits_sent = 0
+        self.done = False
+        self._obs_phase: Optional[int] = None
+
+    def _halted(self) -> bool:
+        """Whether the node only forwards its special symbol from now on."""
+        raise NotImplementedError
+
+    def _halt(self) -> Part:
+        """Raise the halted flag; returns the special symbol to flood."""
+        raise NotImplementedError
+
+    def _enforce_budget(self, out: List[Part]) -> List[Part]:
+        """The special-symbol mechanism of Algorithms 2 and 3: halt before
+        the sends exceed ``_budget`` by more than the symbol; a halted node
+        sends nothing but the symbol."""
+        planned = sum(part.bits for part in out)
+        if self._halted():
+            out = [part for part in out if part.kind == self.HALT_KIND]
+            planned = sum(part.bits for part in out)
+        elif out and self.bits_sent + planned > self._budget:
+            symbol = self._halt()
+            self.floods.initiate(symbol)
+            self.floods.emit()
+            out, planned = [symbol], symbol.bits
+        self.bits_sent += planned
+        return out
+
+    def next_wake(self, rnd: int) -> Optional[int]:
+        """The root runs every round of the execution (it starts every
+        phase, outputs at the end and keeps the phase spans); a non-root
+        node runs with an empty inbox only in its ``_slots``."""
+        if self.is_root:
+            wake = max(rnd + 1, self.start_round)
+            return wake if wake < self.start_round + self._rounds else None
+        if self._halted():
+            return None
+        for wake in self._slots:
+            if wake > rnd:
+                return wake
+        return None
+
+    def _obs_mark(self, rnd: int, rel: int) -> None:
+        """Emit root-timeline phase spans (phases are fixed round
+        windows shared by every node, so the root's view is the
+        protocol's).  Only called when tracing is armed."""
+        idx = bisect_left(self._ends, rel)
+        tracer = _spans.active()
+        if idx != self._obs_phase:
+            if self._obs_phase is not None:
+                tracer.end(tid=self.node_id, round=rnd - 1)
+            tracer.begin(
+                self.OBS_PHASES[idx],
+                cat=self.OBS_CAT,
+                tid=self.node_id,
+                round=rnd,
+            )
+            self._obs_phase = idx
+        if rel == self._rounds:
+            tracer.end(tid=self.node_id, round=rnd)
+            self._obs_phase = None
+
+    def obs_close(self, rnd: int) -> None:
+        """Close any open phase span (handler discarded mid-phase)."""
+        if self._obs_phase is not None and _spans.enabled:
+            _spans.active().end(tid=self.node_id, round=rnd)
+            self._obs_phase = None
+
+    def _boundary_index(self) -> Optional[int]:
+        """Smallest ``j`` with ``ancestors[j]`` the root or an AGG-time
+        critical failure (fragment boundary)."""
+        st = self.state
+        for j, node in enumerate(st.ancestors):
+            if node is None:
+                return None
+            if node == self.p.root or node in st.critical_failures:
+                return j
+        return None
+
+
+class AggNode(PhasedNode):
     """Per-node handler implementing Algorithm 2.
 
     ``start_round`` lets Algorithm 1 embed AGG executions at interval
     boundaries; rounds outside ``[start_round, start_round + 7cd + 3]`` are
-    ignored.
+    ignored.  A non-root node runs with an empty inbox only in its slots:
+    the round after it joins the tree (beacon forward), the first
+    aggregation round and its aggregation slot ``cd - l + 1``, its
+    speculative-flooding slot ``l + 1`` (which fires on *silence* from the
+    parent) and the first selection round.
     """
+
+    OBS_PHASES = (
+        "agg.tree_construction",
+        "agg.tree_aggregation",
+        "agg.speculative_flooding",
+        "agg.selection",
+    )
+    OBS_CAT = "agg"
+    HALT_KIND = "agg_abort"
 
     def __init__(
         self,
@@ -79,12 +208,9 @@ class AggNode(NodeHandler):
         my_input: int,
         start_round: int = 1,
     ) -> None:
-        self.p = params
-        self.node_id = node_id
-        self.is_root = node_id == params.root
-        self.start_round = start_round
-        self.floods = FloodManager(AGG_FLOOD_KINDS)
-
+        super().__init__(params, node_id, start_round, AGG_FLOOD_KINDS)
+        #: The abort threshold ``(11t + 14)(logN + 5)``.
+        self._budget = params.agg_bit_budget
         self.state = TreeState()
         if self.is_root:
             self.state.activated = True
@@ -98,60 +224,20 @@ class AggNode(NodeHandler):
         #: (label, source) determinations seen (phase 4 observations).
         self.determinations: Set[Tuple[str, int]] = set()
 
-        self.bits_sent = 0
         self.aborted = False
-        self.done = False
         #: Root-only: the final aggregate (None if aborted / not finished).
         self.result: Optional[int] = None
-        self._obs_phase: Optional[int] = None
 
-    # ------------------------------------------------------------------ #
-    # Round dispatch.
-    # ------------------------------------------------------------------ #
+    def _halted(self) -> bool:
+        return self.aborted
 
-    #: Phase names in dispatch order, for observability spans.
-    OBS_PHASES = (
-        "agg.tree_construction",
-        "agg.tree_aggregation",
-        "agg.speculative_flooding",
-        "agg.selection",
-    )
-
-    def _obs_mark(self, rnd: int, rel: int) -> None:
-        """Emit root-timeline phase spans (phases are fixed round
-        windows shared by every node, so the root's view is the
-        protocol's).  Only called when tracing is armed."""
-        cd = self.p.cd
-        idx = (
-            0
-            if rel <= 2 * cd + 1
-            else 1
-            if rel <= 4 * cd + 2
-            else 2
-            if rel <= 6 * cd + 3
-            else 3
-        )
-        tracer = _spans.active()
-        if idx != self._obs_phase:
-            if self._obs_phase is not None:
-                tracer.end(tid=self.node_id, round=rnd - 1)
-            tracer.begin(
-                self.OBS_PHASES[idx], cat="agg", tid=self.node_id, round=rnd
-            )
-            self._obs_phase = idx
-        if rel == self.p.agg_rounds:
-            tracer.end(tid=self.node_id, round=rnd)
-            self._obs_phase = None
-
-    def obs_close(self, rnd: int) -> None:
-        """Close any open phase span (handler discarded mid-phase)."""
-        if self._obs_phase is not None and _spans.enabled:
-            _spans.active().end(tid=self.node_id, round=rnd)
-            self._obs_phase = None
+    def _halt(self) -> Part:
+        self.aborted = True
+        return wire.agg_abort(self.p)
 
     def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
         rel = rnd - self.start_round + 1
-        if rel < 1 or rel > self.p.agg_rounds:
+        if rel < 1 or rel > self._rounds:
             return []
         if _spans.enabled and self.is_root:
             self._obs_mark(rnd, rel)
@@ -161,22 +247,34 @@ class AggNode(NodeHandler):
 
         out: List[Part] = []
         if not self.aborted:
-            cd = self.p.cd
-            if rel <= 2 * cd + 1:
+            ends = self._ends
+            if rel <= ends[0]:
                 self._construction_round(rel, inbox, out)
-            elif rel <= 4 * cd + 2:
-                self._aggregation_round(rel - (2 * cd + 1), inbox, out)
-            elif rel <= 6 * cd + 3:
-                self._flooding_round(rel - (4 * cd + 2), inbox)
+            elif rel <= ends[1]:
+                self._aggregation_round(rel - ends[0], inbox, out)
+            elif rel <= ends[2]:
+                self._flooding_round(rel - ends[1], inbox)
             else:
-                self._selection_round(rel - (6 * cd + 3))
+                self._selection_round(rel - ends[2])
 
         out.extend(self.floods.emit())
         out = self._enforce_budget(out)
 
-        if self.is_root and rel == self.p.agg_rounds:
+        if self.is_root and rel == self._rounds:
             self._produce_output()
         return out
+
+    def _join_slots(self, rel: int) -> Tuple[int, ...]:
+        """Absolute wake rounds of a node that joined the tree in ``rel``."""
+        level, (construct, aggregate, flood) = self.state.level, self._ends
+        slots = [rel + 1]
+        if level <= self._cd:
+            slots += [construct + 1, construct + self._cd - level + 1]
+        if level + 1 <= flood - aggregate:
+            slots.append(aggregate + level + 1)
+        slots.append(flood + 1)
+        base = self.start_round - 1
+        return tuple(base + r for r in slots)
 
     # ------------------------------------------------------------------ #
     # Phase 1: tree construction (rounds 1 .. 2cd+1).
@@ -206,6 +304,7 @@ class AggNode(NodeHandler):
                 st.ancestors = [self.node_id] + chain
                 out.append(wire.ack(self.p, chosen.sender))
                 self._pending_tree_construct = rel + 1
+                self._slots = self._join_slots(rel)
 
         if self._pending_tree_construct == rel:
             self._pending_tree_construct = None
@@ -229,11 +328,11 @@ class AggNode(NodeHandler):
         self, p: int, inbox: Sequence[Envelope], out: List[Part]
     ) -> None:
         st = self.state
-        if not st.activated or st.level > self.p.cd:
+        if not st.activated or st.level > self._cd:
             return
         if st.max_level < st.level:
             st.max_level = st.level
-        if p != self.p.cd - st.level + 1:
+        if p != self._cd - st.level + 1:
             return
         arrived = {
             env.sender: env.part.payload
@@ -294,7 +393,7 @@ class AggNode(NodeHandler):
         st = self.state
         anc = st.ancestors
         t = self.p.t
-        i = _index_of(anc, source)
+        i = anc.index(source) if source in anc else None
         j = self._boundary_index()
         if i is None or i > t:
             return None
@@ -307,16 +406,6 @@ class AggNode(NodeHandler):
             for k in range(i + 1, j + 1)
         )
         return DOMINATED if dominated else KEEP
-
-    def _boundary_index(self) -> Optional[int]:
-        """Smallest ``j`` with ``ancestors[j]`` the root or a critical failure."""
-        st = self.state
-        for j, node in enumerate(st.ancestors):
-            if node is None:
-                return None
-            if node == self.p.root or node in st.critical_failures:
-                return j
-        return None
 
     # ------------------------------------------------------------------ #
     # Observations, output, and the bit budget.
@@ -345,35 +434,6 @@ class AggNode(NodeHandler):
             if (KEEP, source) in self.determinations:
                 total = self.p.caaf.op(total, psum)
         self.result = total
-
-    def _enforce_budget(self, out: List[Part]) -> List[Part]:
-        """Abort (Algorithm 2's special-symbol mechanism) before exceeding
-        the ``(11t + 14)(logN + 5)`` budget by more than the abort symbol."""
-        planned = sum(part.bits for part in out)
-        if (
-            not self.aborted
-            and out
-            and self.bits_sent + planned > self.p.agg_bit_budget
-        ):
-            self.aborted = True
-            abort_part = wire.agg_abort(self.p)
-            self.floods.initiate(abort_part)
-            self.floods.emit()
-            out = [abort_part]
-            planned = abort_part.bits
-        if self.aborted:
-            out = [part for part in out if part.kind == "agg_abort"]
-            planned = sum(part.bits for part in out)
-        self.bits_sent += planned
-        return out
-
-
-def _index_of(ancestors: List[Optional[int]], target: int) -> Optional[int]:
-    """Smallest index of ``target`` in the ancestor list, else None."""
-    for idx, node in enumerate(ancestors):
-        if node == target:
-            return idx
-    return None
 
 
 # --------------------------------------------------------------------- #

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
@@ -100,115 +100,128 @@ class TradeoffPlan:
         return sorted(picks)
 
 
-class Algorithm1Node(NodeHandler):
-    """Composite per-node handler: dormant AGG/VERI per interval + fallback.
+class IntervalNode(NodeHandler):
+    """Composite per-node handler: AGG/VERI pairs on an interval grid, then
+    the brute-force fallback.
 
-    Non-root nodes re-arm a fresh (dormant) :class:`AggNode` at every
-    interval boundary; it only speaks if the root's ``tree_construct``
-    beacon arrives, so unselected intervals cost nothing.  The root arms
-    handlers only in its selected intervals.
+    ``n_intervals`` intervals of ``19cd`` rounds are followed by the
+    ``plan``'s brute-force window (``bruteforce_start`` on).  At
+    each interval start the node arms a fresh :class:`AggNode` with the
+    parameters :meth:`_interval_params` picks (``None``: the interval stays
+    idle); ``agg_rounds`` later AGG hands its tree to a :class:`VeriNode`.
+    The root accepts the first pair where AGG did not abort and VERI output
+    true; the brute-force window decides unconditionally.
     """
 
+    #: Prefix of the observability events (None: emit none).
+    OBS_PREFIX: Optional[str] = None
+
     def __init__(
-        self,
-        plan: TradeoffPlan,
-        node_id: int,
-        my_input: int,
-        rng: Optional[random.Random] = None,
+        self, plan, params: ProtocolParams, node_id: int, my_input: int,
+        n_intervals: int,
     ) -> None:
         self.plan = plan
-        self.p = plan.params.with_t(plan.t)
+        self.p = params
         self.node_id = node_id
         self.my_input = my_input
-        self.is_root = node_id == self.p.root
-        if self.is_root:
-            self.selected = plan.select_intervals(rng or random.Random())
-        else:
-            self.selected: List[int] = []
+        self.is_root = node_id == params.root
+        self._n_intervals = n_intervals
+        cd = params.cd
+        self._interval_rounds = 19 * cd
+        self._agg_rounds = 7 * cd + 4
+        self._bf_start = plan.bruteforce_start
+        self._total = plan.total_rounds
 
         self._agg: Optional[AggNode] = None
         self._veri: Optional[VeriNode] = None
-        self._bf: Optional[BruteForceNode] = None
+        self._bf = None
+        #: Root: 0-based interval of the running pair, and of the accepted one.
+        self._current: Optional[int] = None
+        self._won: Optional[int] = None
 
         self.done = False
         self.result: Optional[int] = None
-        #: Diagnostics: interval that produced the accepted result (root).
-        self.winning_interval: Optional[int] = None
         self.pairs_run = 0
         self.used_bruteforce = False
 
-    # ------------------------------------------------------------------ #
+    def _interval_params(self, k: int) -> Optional[ProtocolParams]:
+        """Parameters of the pair armed in 0-based interval ``k``."""
+        raise NotImplementedError
+
+    def _obs_event(self, name: str, rnd: int, **args) -> None:
+        if _spans.enabled and self.OBS_PREFIX is not None:
+            _spans.active().event(
+                f"{self.OBS_PREFIX}.{name}",
+                cat="protocol",
+                tid=self.node_id,
+                round=rnd,
+                **args,
+            )
 
     def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
-        if self.done or rnd > self.plan.total_rounds:
+        if self.done or rnd > self._total:
             return []
         out: List[Part] = []
         self._maybe_arm(rnd)
-        if self._agg is not None:
-            out.extend(self._agg.on_round(rnd, inbox))
-        if self._veri is not None:
-            out.extend(self._veri.on_round(rnd, inbox))
-        if self._bf is not None:
-            out.extend(self._bf.on_round(rnd, inbox))
+        for sub in (self._agg, self._veri, self._bf):
+            if sub is not None:
+                out.extend(sub.on_round(rnd, inbox))
         self._maybe_decide(rnd)
         return out
 
+    def next_wake(self, rnd: int) -> Optional[int]:
+        """The next interval start, AGG -> VERI handoff or brute-force
+        start, or the running sub-protocols' own next slot."""
+        if self.done:
+            return None
+        step = self._interval_rounds
+        k = -(-rnd // step)  # the first interval starting after ``rnd``
+        wake = k * step + 1 if k < self._n_intervals else self._total + 1
+        if self._bf is None and rnd < self._bf_start < wake:
+            wake = self._bf_start
+        if self._agg is not None:
+            handoff = self._agg.start_round + self._agg_rounds
+            if rnd < handoff < wake:
+                wake = handoff
+        for sub in (self._agg, self._veri, self._bf):
+            if sub is not None:
+                slot = sub.next_wake(rnd)
+                if slot is not None and slot < wake:
+                    wake = slot
+        return wake if wake <= self._total else None
+
     def _maybe_arm(self, rnd: int) -> None:
-        plan = self.plan
-        # Interval boundaries: arm a fresh AGG (root: selected ones only).
-        offset = rnd - 1
-        if offset % plan.interval_rounds == 0:
-            interval = offset // plan.interval_rounds + 1
-            if interval <= plan.x:
-                self._veri = None
+        # Interval boundaries: arm a fresh AGG (or none).
+        k, into = divmod(rnd - 1, self._interval_rounds)
+        if into == 0 and k < self._n_intervals:
+            self._veri = None
+            params = self._interval_params(k)
+            self._agg = None
+            if params is not None:
+                self._agg = AggNode(
+                    params, self.node_id, self.my_input, start_round=rnd
+                )
                 if self.is_root:
-                    if interval in self.selected:
-                        self._agg = AggNode(
-                            self.p, self.node_id, self.my_input, start_round=rnd
-                        )
-                        self.pairs_run += 1
-                        self._current_interval = interval
-                        if _spans.enabled:
-                            _spans.active().event(
-                                "algorithm1.arm_interval",
-                                cat="protocol",
-                                tid=self.node_id,
-                                round=rnd,
-                                interval=interval,
-                            )
-                    else:
-                        self._agg = None
-                else:
-                    self._agg = AggNode(
-                        self.p, self.node_id, self.my_input, start_round=rnd
-                    )
+                    self.pairs_run += 1
+                    self._current = k
+                    self._obs_event("arm_interval", rnd, interval=k + 1)
         # AGG -> VERI handoff inside the interval.
-        if (
-            self._agg is not None
-            and offset % plan.interval_rounds == self.p.agg_rounds
-        ):
+        if self._agg is not None and into == self._agg_rounds:
             self._veri = VeriNode(
-                self.p, self.node_id, self._agg.state, start_round=rnd
+                self._agg.p, self.node_id, self._agg.state, start_round=rnd
             )
         # Brute-force fallback window.
-        if rnd == plan.bruteforce_start and self._bf is None:
+        if rnd == self._bf_start and self._bf is None:
             from ..baselines.bruteforce import BruteForceNode
 
-            if self._agg is not None:
-                self._agg.obs_close(rnd)
-            if self._veri is not None:
-                self._veri.obs_close(rnd)
+            for sub in (self._agg, self._veri):
+                if sub is not None:
+                    sub.obs_close(rnd)
             self._agg = None
             self._veri = None
             if self.is_root:
                 self.used_bruteforce = True
-                if _spans.enabled:
-                    _spans.active().event(
-                        "algorithm1.arm_bruteforce",
-                        cat="protocol",
-                        tid=self.node_id,
-                        round=rnd,
-                    )
+                self._obs_event("arm_bruteforce", rnd)
             self._bf = BruteForceNode(
                 self.p, self.node_id, self.my_input, start_round=rnd
             )
@@ -222,18 +235,15 @@ class Algorithm1Node(NodeHandler):
             and self._veri.done
         ):
             accepted = (not self._agg.aborted) and self._veri.output is True
-            if _spans.enabled:
-                _spans.active().event(
-                    "algorithm1.pair_decided",
-                    cat="protocol",
-                    tid=self.node_id,
-                    round=rnd,
-                    interval=self._current_interval,
-                    accepted=accepted,
-                )
+            self._obs_event(
+                "pair_decided",
+                rnd,
+                interval=self._current + 1,
+                accepted=accepted,
+            )
             if accepted:
                 self.result = self._agg.result
-                self.winning_interval = self._current_interval
+                self._won = self._current
                 self.done = True
             self._veri = None
             self._agg = None
@@ -243,6 +253,41 @@ class Algorithm1Node(NodeHandler):
 
     def wants_to_stop(self) -> bool:
         return self.done
+
+
+class Algorithm1Node(IntervalNode):
+    """Algorithm 1's composite: dormant AGG/VERI per interval + fallback.
+
+    Non-root nodes re-arm a fresh (dormant) :class:`AggNode` at every
+    interval boundary; it only speaks if the root's ``tree_construct``
+    beacon arrives, so unselected intervals cost nothing.  The root arms
+    handlers only in its selected intervals.
+    """
+
+    OBS_PREFIX = "algorithm1"
+
+    def __init__(
+        self,
+        plan: TradeoffPlan,
+        node_id: int,
+        my_input: int,
+        rng: Optional[random.Random] = None,
+    ) -> None:
+        params = plan.params.with_t(plan.t)
+        super().__init__(plan, params, node_id, my_input, plan.x)
+        self.selected: List[int] = []
+        if self.is_root:
+            self.selected = plan.select_intervals(rng or random.Random())
+
+    @property
+    def winning_interval(self) -> Optional[int]:
+        """Diagnostics: 1-based interval that produced the accepted result."""
+        return None if self._won is None else self._won + 1
+
+    def _interval_params(self, k: int) -> Optional[ProtocolParams]:
+        if self.is_root and k + 1 not in self.selected:
+            return None
+        return self.p
 
 
 @dataclass
@@ -267,6 +312,54 @@ class TradeoffOutcome:
     #: The integrity coordinator, when the run used authenticated frames
     #: (:class:`repro.integrity.frames.IntegrityCoordinator`).
     integrity: Optional[object] = None
+
+
+def interval_network(
+    topology: Topology,
+    nodes: Dict[int, IntervalNode],
+    total_rounds: int,
+    schedule: FailureSchedule,
+    injectors,
+    monitors,
+    transport,
+    integrity,
+    allow_root_crash: bool,
+):
+    """The network an interval protocol runs on, and its round cap.
+
+    ``transport`` runs every protocol round over the reliable
+    local-broadcast shim; ``integrity`` wraps every broadcast in an
+    authenticated frame, outermost.  Returns ``(network, max_rounds,
+    transport, integrity)`` with both layers coerced to coordinators.
+    """
+    # Lazy import: resilience builds on core, so core must not import it
+    # at module scope (same idiom as the BruteForceNode import above).
+    from ..integrity.frames import as_integrity
+    from ..resilience.transport import as_transport, wrap_network_args
+
+    transport = as_transport(transport)
+    handlers, overhead_fn, window = wrap_network_args(
+        transport, nodes, topology.adjacency
+    )
+    integrity = as_integrity(integrity)
+    if integrity is not None:
+        # Integrity wraps outermost: what travels on the wire is always an
+        # authenticated frame, whatever is inside (transport or protocol).
+        handlers = integrity.wrap(handlers)
+        overhead_fn = integrity.overhead_fn(overhead_fn)
+    network = Network(
+        topology.adjacency,
+        handlers,
+        schedule.crash_rounds,
+        injectors=injectors,
+        monitors=monitors,
+        root=topology.root,
+        allow_root_crash=allow_root_crash,
+        overhead_fn=overhead_fn,
+    )
+    # Logical round K is computed at physical round (K-1)*window + 1, so
+    # this cap lets the inner protocol reach exactly its last round.
+    return network, (total_rounds - 1) * window + 1, transport, integrity
 
 
 def run_algorithm1(
@@ -300,11 +393,6 @@ def run_algorithm1(
     ``allow_root_crash`` opts out of the Section-2 root protection (used
     by the failover layer).
     """
-    # Lazy import: resilience builds on core, so core must not import it
-    # at module scope (same idiom as the BruteForceNode import above).
-    from ..integrity.frames import as_integrity
-    from ..resilience.transport import as_transport, wrap_network_args
-
     schedule = schedule or FailureSchedule()
     schedule.validate(topology, f=f, allow_root_crash=allow_root_crash)
     base = params_for(
@@ -316,29 +404,10 @@ def run_algorithm1(
         u: Algorithm1Node(plan, u, inputs[u], rng=rng if u == topology.root else None)
         for u in topology.nodes()
     }
-    transport = as_transport(transport)
-    handlers, overhead_fn, window = wrap_network_args(
-        transport, nodes, topology.adjacency
+    network, max_rounds, transport, integrity = interval_network(
+        topology, nodes, plan.total_rounds, schedule, injectors, monitors,
+        transport, integrity, allow_root_crash,
     )
-    integrity = as_integrity(integrity)
-    if integrity is not None:
-        # Integrity wraps outermost: what travels on the wire is always an
-        # authenticated frame, whatever is inside (transport or protocol).
-        handlers = integrity.wrap(handlers)
-        overhead_fn = integrity.overhead_fn(overhead_fn)
-    network = Network(
-        topology.adjacency,
-        handlers,
-        schedule.crash_rounds,
-        injectors=injectors,
-        monitors=monitors,
-        root=topology.root,
-        allow_root_crash=allow_root_crash,
-        overhead_fn=overhead_fn,
-    )
-    # Logical round K is computed at physical round (K-1)*window + 1, so
-    # this cap lets the inner protocol reach exactly its last round.
-    max_rounds = (plan.total_rounds - 1) * window + 1
     if _spans.enabled:
         with _spans.active().span(
             "algorithm1",

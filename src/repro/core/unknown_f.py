@@ -22,18 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
-from ..sim.message import Envelope, Part
 from ..sim.network import Network
-from ..sim.node import NodeHandler
 from ..sim.stats import SimStats
-from .agg import AggNode
+from .algorithm1 import IntervalNode, interval_network
 from .caaf import CAAF, SUM
 from .params import ProtocolParams, params_for
-from .veri import VeriNode
 
 
 @dataclass(frozen=True)
@@ -67,7 +64,7 @@ class DoublingPlan:
         return self.max_guesses * self.interval_rounds + 2 * self.params.cd
 
 
-class DoublingNode(NodeHandler):
+class DoublingNode(IntervalNode):
     """Per-node handler for the unknown-``f`` doubling protocol.
 
     The guess schedule is deterministic and known to everyone, so no coins
@@ -75,82 +72,17 @@ class DoublingNode(NodeHandler):
     """
 
     def __init__(self, plan: DoublingPlan, node_id: int, my_input: int) -> None:
-        self.plan = plan
-        self.node_id = node_id
-        self.my_input = my_input
-        self.is_root = node_id == plan.params.root
-        self._agg: Optional[AggNode] = None
-        self._veri: Optional[VeriNode] = None
-        self._bf: Optional[BruteForceNode] = None
-        self._current_guess: Optional[int] = None
-        self.done = False
-        self.result: Optional[int] = None
-        self.accepted_guess: Optional[int] = None
-        self.pairs_run = 0
-        self.used_bruteforce = False
+        super().__init__(
+            plan, plan.params, node_id, my_input, plan.max_guesses
+        )
 
-    def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
-        if self.done or rnd > self.plan.total_rounds:
-            return []
-        out: List[Part] = []
-        self._maybe_arm(rnd)
-        if self._agg is not None:
-            out.extend(self._agg.on_round(rnd, inbox))
-        if self._veri is not None:
-            out.extend(self._veri.on_round(rnd, inbox))
-        if self._bf is not None:
-            out.extend(self._bf.on_round(rnd, inbox))
-        self._maybe_decide()
-        return out
+    @property
+    def accepted_guess(self) -> Optional[int]:
+        """The tolerance guess whose pair was accepted (root)."""
+        return None if self._won is None else self.plan.guess_for(self._won)
 
-    def _maybe_arm(self, rnd: int) -> None:
-        plan = self.plan
-        offset = rnd - 1
-        if offset % plan.interval_rounds == 0:
-            interval = offset // plan.interval_rounds
-            if interval < plan.max_guesses:
-                guess = plan.guess_for(interval)
-                params = plan.params.with_t(guess)
-                self._current_guess = guess
-                self._veri = None
-                self._agg = AggNode(
-                    params, self.node_id, self.my_input, start_round=rnd
-                )
-                if self.is_root:
-                    self.pairs_run += 1
-        if self._agg is not None:
-            agg_rounds = self._agg.p.agg_rounds
-            if offset % plan.interval_rounds == agg_rounds:
-                self._veri = VeriNode(
-                    self._agg.p, self.node_id, self._agg.state, start_round=rnd
-                )
-        if rnd == plan.bruteforce_start and self._bf is None:
-            from ..baselines.bruteforce import BruteForceNode
-
-            self._agg = None
-            self._veri = None
-            if self.is_root:
-                self.used_bruteforce = True
-            self._bf = BruteForceNode(
-                plan.params, self.node_id, self.my_input, start_round=rnd
-            )
-
-    def _maybe_decide(self) -> None:
-        if not self.is_root or self.done:
-            return
-        if self._agg is not None and self._veri is not None and self._veri.done:
-            if (not self._agg.aborted) and self._veri.output is True:
-                self.result = self._agg.result
-                self.accepted_guess = self._current_guess
-                self.done = True
-            self._agg = None
-            self._veri = None
-        if self._bf is not None and self._bf.done:
-            self.result = self._bf.result
-            self.done = True
-
-    def wants_to_stop(self) -> bool:
-        return self.done
+    def _interval_params(self, k: int) -> ProtocolParams:
+        return self.plan.params.with_t(self.plan.guess_for(k))
 
 
 @dataclass
@@ -197,10 +129,6 @@ def run_unknown_f(
     and dropped; ``allow_root_crash`` opts out of the Section-2 root
     protection (used by the failover layer).
     """
-    # Lazy import: core must not depend on resilience at module scope.
-    from ..integrity.frames import as_integrity
-    from ..resilience.transport import as_transport, wrap_network_args
-
     schedule = schedule or FailureSchedule()
     schedule.validate(topology, allow_root_crash=allow_root_crash)
     params = params_for(
@@ -210,29 +138,10 @@ def run_unknown_f(
     nodes = {
         u: DoublingNode(plan, u, inputs[u]) for u in topology.nodes()
     }
-    transport = as_transport(transport)
-    handlers, overhead_fn, window = wrap_network_args(
-        transport, nodes, topology.adjacency
+    network, max_rounds, transport, integrity = interval_network(
+        topology, nodes, plan.total_rounds, schedule, injectors, monitors,
+        transport, integrity, allow_root_crash,
     )
-    integrity = as_integrity(integrity)
-    if integrity is not None:
-        # Integrity wraps outermost: what travels on the wire is always an
-        # authenticated frame, whatever is inside (transport or protocol).
-        handlers = integrity.wrap(handlers)
-        overhead_fn = integrity.overhead_fn(overhead_fn)
-    network = Network(
-        topology.adjacency,
-        handlers,
-        schedule.crash_rounds,
-        injectors=injectors,
-        monitors=monitors,
-        root=topology.root,
-        allow_root_crash=allow_root_crash,
-        overhead_fn=overhead_fn,
-    )
-    # Logical round K is computed at physical round (K-1)*window + 1, so
-    # this cap lets the inner protocol reach exactly its last round.
-    max_rounds = (plan.total_rounds - 1) * window + 1
     stats = network.run(max_rounds, stop_on_output=True)
     root = nodes[topology.root]
     return DoublingOutcome(

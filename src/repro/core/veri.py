@@ -39,24 +39,33 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
 from ..obs import spans as _spans
-from ..sim.flooding import FloodManager
 from ..sim.message import Envelope, Part
 from ..sim.network import Network
-from ..sim.node import NodeHandler
 from ..sim.stats import SimStats
 from . import wire
-from .agg import AggNode, TreeState, run_agg
+from .agg import PhasedNode, TreeState, run_agg
 from .params import ProtocolParams
 from .wire import VERI_FLOOD_KINDS
 
 
-class VeriNode(NodeHandler):
+class VeriNode(PhasedNode):
     """Per-node handler implementing Algorithm 3.
 
     ``tree_state`` is the node's state from the preceding AGG execution
     (parent/children/ancestors/levels/critical failures).  Nodes that never
-    activated during AGG only forward floods.
+    activated during AGG only forward floods.  A non-root tree node runs
+    with an empty inbox only in its failed-parent slot ``l + 1`` (which
+    fires on *silence* from the parent), its failed-child slot
+    ``cd - l + 1`` and the first LFC round.
     """
+
+    OBS_PHASES = (
+        "veri.failed_parent",
+        "veri.failed_child",
+        "veri.lfc_detection",
+    )
+    OBS_CAT = "veri"
+    HALT_KIND = "veri_overflow"
 
     def __init__(
         self,
@@ -65,12 +74,11 @@ class VeriNode(NodeHandler):
         tree_state: Optional[TreeState],
         start_round: int = 1,
     ) -> None:
-        self.p = params
-        self.node_id = node_id
-        self.is_root = node_id == params.root
-        self.start_round = start_round
+        super().__init__(params, node_id, start_round, VERI_FLOOD_KINDS)
+        #: The overflow threshold ``(5t + 7)(3 logN + 10)``.
+        self._budget = params.veri_bit_budget
         self.state = tree_state or TreeState()
-        self.floods = FloodManager(VERI_FLOOD_KINDS)
+        self._slots = self._tree_slots()
 
         #: (parent, x, claimer) failed-parent claims observed.
         self.failed_parent_claims: Set[Tuple[int, int, int]] = set()
@@ -81,48 +89,19 @@ class VeriNode(NodeHandler):
         self.not_lfc_tails: Set[int] = set()
         self.overflow_seen = False
 
-        self.bits_sent = 0
-        self.done = False
         #: Root-only: VERI's verdict (None until the execution finishes).
         self.output: Optional[bool] = None
-        self._obs_phase: Optional[int] = None
 
-    # ------------------------------------------------------------------ #
-    # Round dispatch.
-    # ------------------------------------------------------------------ #
+    def _halted(self) -> bool:
+        return self.overflow_seen
 
-    #: Phase names in dispatch order, for observability spans.
-    OBS_PHASES = (
-        "veri.failed_parent",
-        "veri.failed_child",
-        "veri.lfc_detection",
-    )
-
-    def _obs_mark(self, rnd: int, rel: int) -> None:
-        """Root-timeline phase spans; see ``AggNode._obs_mark``."""
-        cd = self.p.cd
-        idx = 0 if rel <= 2 * cd + 1 else 1 if rel <= 4 * cd + 2 else 2
-        tracer = _spans.active()
-        if idx != self._obs_phase:
-            if self._obs_phase is not None:
-                tracer.end(tid=self.node_id, round=rnd - 1)
-            tracer.begin(
-                self.OBS_PHASES[idx], cat="veri", tid=self.node_id, round=rnd
-            )
-            self._obs_phase = idx
-        if rel == self.p.veri_rounds:
-            tracer.end(tid=self.node_id, round=rnd)
-            self._obs_phase = None
-
-    def obs_close(self, rnd: int) -> None:
-        """Close any open phase span (handler discarded mid-phase)."""
-        if self._obs_phase is not None and _spans.enabled:
-            _spans.active().end(tid=self.node_id, round=rnd)
-            self._obs_phase = None
+    def _halt(self) -> Part:
+        self.overflow_seen = True
+        return wire.veri_overflow(self.p)
 
     def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
         rel = rnd - self.start_round + 1
-        if rel < 1 or rel > self.p.veri_rounds:
+        if rel < 1 or rel > self._rounds:
             return []
         if _spans.enabled and self.is_root:
             self._obs_mark(rnd, rel)
@@ -130,21 +109,33 @@ class VeriNode(NodeHandler):
         fresh = self.floods.absorb(inbox, rel)
         self._note_flood_observations(fresh)
 
-        cd = self.p.cd
         if not self.overflow_seen:
-            if rel <= 2 * cd + 1:
+            parent_end, child_end = self._ends
+            if rel <= parent_end:
                 self._failed_parent_round(rel, inbox)
-            elif rel <= 4 * cd + 2:
-                self._failed_child_round(rel - (2 * cd + 1), inbox)
+            elif rel <= child_end:
+                self._failed_child_round(rel - parent_end, inbox)
             else:
-                self._lfc_round(rel - (4 * cd + 2))
+                self._lfc_round(rel - child_end)
 
         out = self.floods.emit()
         out = self._enforce_budget(out)
 
-        if self.is_root and rel == self.p.veri_rounds:
+        if self.is_root and rel == self._rounds:
             self._produce_output()
         return out
+
+    def _tree_slots(self) -> Tuple[int, ...]:
+        """Absolute wake rounds of a non-root node, from its AGG tree."""
+        st = self.state
+        if self.is_root or not st.activated:
+            return ()
+        slots = []
+        if st.level <= self._cd:
+            slots += [st.level + 1, self._ends[0] + self._cd - st.level + 1]
+        slots.append(self._ends[1] + 1)
+        base = self.start_round - 1
+        return tuple(base + r for r in slots)
 
     # ------------------------------------------------------------------ #
     # Phase 1: failed-parent detection (phase rounds 1 .. 2cd+1).
@@ -155,7 +146,7 @@ class VeriNode(NodeHandler):
         if self.is_root and p == 1:
             self.floods.initiate(wire.detect_failed_parent(self.p))
             return
-        if not st.activated or self.is_root or st.level > self.p.cd:
+        if not st.activated or self.is_root or st.level > self._cd:
             return
         if p == st.level + 1:
             heard_parent = any(env.sender == st.parent for env in inbox)
@@ -173,9 +164,9 @@ class VeriNode(NodeHandler):
 
     def _failed_child_round(self, q: int, inbox: Sequence[Envelope]) -> None:
         st = self.state
-        if not st.activated or st.level > self.p.cd:
+        if not st.activated or st.level > self._cd:
             return
-        if q != self.p.cd - st.level + 1:
+        if q != self._cd - st.level + 1:
             return
         if not st.children:
             self.floods.initiate(wire.detect_failed_child(self.p, self.node_id))
@@ -213,7 +204,7 @@ class VeriNode(NodeHandler):
         st = self.state
         anc = st.ancestors
         t = self.p.t
-        i = _index_of(anc, v)
+        i = anc.index(v) if v in anc else None
         j = self._boundary_index()
         if i is None or i > t:
             return None
@@ -235,19 +226,8 @@ class VeriNode(NodeHandler):
             return True  # k = infinity: chain may extend past our horizon
         return k - i + 1 >= t
 
-    def _boundary_index(self) -> Optional[int]:
-        """Smallest ``j`` with ``ancestors[j]`` the root or an AGG-time
-        critical failure (fragment boundary)."""
-        st = self.state
-        for j, node in enumerate(st.ancestors):
-            if node is None:
-                return None
-            if node == self.p.root or node in st.critical_failures:
-                return j
-        return None
-
     # ------------------------------------------------------------------ #
-    # Observations, output, budget.
+    # Observations and output.
     # ------------------------------------------------------------------ #
 
     def _note_flood_observations(self, fresh: Sequence[Envelope]) -> None:
@@ -279,32 +259,6 @@ class VeriNode(NodeHandler):
                 self.output = False
                 return
         self.output = True
-
-    def _enforce_budget(self, out: List[Part]) -> List[Part]:
-        planned = sum(part.bits for part in out)
-        if (
-            not self.overflow_seen
-            and out
-            and self.bits_sent + planned > self.p.veri_bit_budget
-        ):
-            self.overflow_seen = True
-            overflow_part = wire.veri_overflow(self.p)
-            self.floods.initiate(overflow_part)
-            self.floods.emit()
-            out = [overflow_part]
-            planned = overflow_part.bits
-        elif self.overflow_seen:
-            out = [part for part in out if part.kind == "veri_overflow"]
-            planned = sum(part.bits for part in out)
-        self.bits_sent += planned
-        return out
-
-
-def _index_of(ancestors: List[Optional[int]], target: int) -> Optional[int]:
-    for idx, node in enumerate(ancestors):
-        if node == target:
-            return idx
-    return None
 
 
 # --------------------------------------------------------------------- #

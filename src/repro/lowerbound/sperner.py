@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Set, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # imported on first use: numpy adds ~13 MB resident
+    import numpy as np
 
 
 def sperner_matrix(q: int, free_value: float = -1.0) -> np.ndarray:
@@ -34,6 +35,8 @@ def sperner_matrix(q: int, free_value: float = -1.0) -> np.ndarray:
     ``{2, .., q-1}``; the remaining entries (``M[i][(i+1) mod q]``) are set
     to ``free_value`` (Lemma 11 uses ``-1``).
     """
+    import numpy as np
+
     if q < 2:
         raise ValueError("q >= 2 required")
     m = np.zeros((q, q))
@@ -46,6 +49,8 @@ def sperner_matrix(q: int, free_value: float = -1.0) -> np.ndarray:
 def sperner_rank(q: int, free_value: float = -1.0) -> int:
     """Numerical rank of :func:`sperner_matrix` — Lemma 11 claims ``q - 1``
     when ``free_value = -1``."""
+    import numpy as np
+
     return int(np.linalg.matrix_rank(sperner_matrix(q, free_value)))
 
 
@@ -57,6 +62,8 @@ def rank_is_q_minus_1(q: int) -> bool:
     the integer submatrix computed exactly over the rationals with
     ``fractions``-free Gaussian elimination on integers).
     """
+    import numpy as np
+
     m = sperner_matrix(q).astype(int)
     if not np.all(m.sum(axis=0) == 0):
         return False

@@ -26,6 +26,13 @@ On top of the exact model the network supports two optional layers:
 When no injector modifies deliveries the original exact delivery path is
 used, so in-model executions are bit- and order-identical to the
 middleware-free simulator.
+
+Rounds are event-driven: a round calls only the handlers that received
+something and the handlers whose :meth:`NodeHandler.next_wake` declared
+that round, in adjacency order.  Handlers that keep the default
+``next_wake`` run in every round they are alive, as in a plain
+every-node loop; protocol handlers declare their phase slots instead, so
+idle nodes cost nothing.
 """
 
 from __future__ import annotations
@@ -153,6 +160,33 @@ class Network:
         for monitor in self.monitors:
             monitor.attach(self)
 
+        # Event-driven scheduling.  Handlers that keep the base
+        # ``next_wake`` run in every round they are alive; they need no
+        # timers.  For the others, ``_timers`` buckets nodes by the round
+        # their handler asked to be woken in and ``_wake_at`` holds each
+        # node's one live timer, so bucket entries it no longer matches
+        # are stale and skipped.  Buckets are popped as their round runs.
+        self._order: Dict[int, int] = {
+            u: i for i, u in enumerate(self.adjacency)
+        }
+        every = NodeHandler.next_wake
+        self._every_round: List[int] = [
+            u
+            for u in self.adjacency
+            if getattr(type(self.handlers[u]), "next_wake", every) is every
+        ]
+        self._every_set = set(self._every_round)
+        self._timers: Dict[int, List[int]] = {}
+        self._wake_at: Dict[int, int] = {}
+        #: Handlers called in the last executed round (the stop test's
+        #: scope: only a handler that ran can have produced output).
+        self._called: List[NodeHandler] = []
+        #: Handler calls made so far (node-rounds actually computed).
+        self.handler_calls = 0
+        for node in self.adjacency:
+            if node not in self._every_set:
+                self._arm(node, self.handlers[node].next_wake(0), 0)
+
     # ------------------------------------------------------------------ #
     # Construction-time validation.
     # ------------------------------------------------------------------ #
@@ -274,8 +308,45 @@ class Network:
     # Round execution.
     # ------------------------------------------------------------------ #
 
+    def _arm(self, node: int, wake: Optional[int], rnd: int) -> None:
+        """Set ``node``'s timer to ``wake`` (``None``: inbox-only)."""
+        if wake is None:
+            self._wake_at.pop(node, None)
+            return
+        if wake <= rnd:
+            raise ValueError(
+                f"handler of node {node} asked to wake in round {wake}, "
+                f"not after round {rnd}"
+            )
+        if self._wake_at.get(node) != wake:
+            self._wake_at[node] = wake
+            self._timers.setdefault(wake, []).append(node)
+
+    def _due(self, rnd: int) -> List[int]:
+        """Pop the round's timer bucket; the nodes whose live timer it is."""
+        bucket = self._timers.pop(rnd, None)
+        if not bucket:
+            return []
+        wake_at = self._wake_at
+        due = []
+        for node in bucket:
+            if wake_at.get(node) == rnd:
+                del wake_at[node]
+                due.append(node)
+        return due
+
+    def _crashing(self, rnd: int) -> List[int]:
+        """Nodes whose crash or downtime starts in round ``rnd``."""
+        out = [u for u, r in self.crash_rounds.items() if r == rnd]
+        out.extend(
+            u
+            for u, intervals in self.down_intervals.items()
+            if any(s == rnd for s, _ in intervals) and u not in out
+        )
+        return sorted(out, key=self._order.__getitem__)
+
     def step(self) -> None:
-        """Execute one round: deliver, compute, broadcast."""
+        """Execute one round: deliver, wake, compute, broadcast."""
         self.round += 1
         rnd = self.round
         for injector in self.injectors:
@@ -286,19 +357,40 @@ class Network:
         else:
             inboxes = self._deliver_exact(rnd)
 
-        # Live nodes compute and broadcast.
-        for node in self.adjacency:
+        if self.tracer is not None:
+            for node in self._crashing(rnd):
+                self.tracer.on_crash(rnd, node)
+
+        every = self._every_set
+        if len(every) == len(self._order):
+            wake = self._every_round
+        else:
+            wake = self._due(rnd)
+            if inboxes or every:
+                wake = set(wake)
+                wake.update(inboxes)
+                wake.update(every)
+            wake = sorted(wake, key=self._order.__getitem__)
+
+        # Woken nodes compute and broadcast, in adjacency order.
+        called: List[NodeHandler] = []
+        for node in wake:
             if not self.is_alive(node, rnd):
-                if self.tracer is not None and (
-                    self.crash_rounds.get(node) == rnd
-                    or any(
-                        s == rnd for s, _ in self.down_intervals.get(node, ())
-                    )
-                ):
-                    self.tracer.on_crash(rnd, node)
+                # Deliveries skip dead nodes, so a dead node here runs
+                # every round or has a due timer.  A bounded outage keeps
+                # the timer ticking, so the node runs in its revival round;
+                # a crash is final.
+                if node in every:
+                    continue
+                if rnd < self.crash_rounds.get(node, NEVER):
+                    self._arm(node, rnd + 1, rnd)
                 continue
+            handler = self.handlers[node]
             inbox = inboxes.get(node, ())
-            parts = list(self.handlers[node].on_round(rnd, inbox))
+            parts = list(handler.on_round(rnd, inbox))
+            called.append(handler)
+            if node not in every:
+                self._arm(node, handler.next_wake(rnd), rnd)
             if parts:
                 bits = sum(p.bits for p in parts)
                 overhead = (
@@ -325,26 +417,46 @@ class Network:
                     self._transmit(rnd, node, parts)
                 else:
                     self._in_flight.append((node, parts))
+        self._called = called
+        self.handler_calls += len(called)
         self.stats.rounds_executed = rnd
         for injector in self.injectors:
             injector.end_round(rnd)
         for monitor in self.monitors:
             monitor.after_round(self)
 
+    def output_ready(self) -> bool:
+        """Whether a handler called in the last round wants to stop.
+
+        The run loop's stop test.  Handlers change state only when called,
+        so asking just the last round's callees is the same as asking
+        every handler.
+        """
+        return any(h.wants_to_stop() for h in self._called)
+
     def _deliver_exact(self, rnd: int) -> Dict[int, List[Envelope]]:
         """Exact-model delivery: last round's broadcasts reach all live
         neighbours, in broadcast order."""
         inboxes: Dict[int, List[Envelope]] = {}
+        crashed, down = self.crash_rounds, self.down_intervals
         for sender, parts in self._in_flight:
+            # Envelopes are immutable, so all receivers share one copy.
+            envelopes = [Envelope(sender, p) for p in parts]
             for neighbour in self.adjacency[sender]:
                 if self.link_flaps and not self.link_up(sender, neighbour, rnd):
                     continue
-                if self.is_alive(neighbour, rnd):
-                    box = inboxes.setdefault(neighbour, [])
-                    box.extend(Envelope(sender, p) for p in parts)
-                    if self.tracer is not None:
-                        for p in parts:
-                            self.tracer.on_deliver(rnd, sender, neighbour, p)
+                if rnd >= crashed.get(neighbour, NEVER) or (
+                    down and not self.is_alive(neighbour, rnd)
+                ):
+                    continue
+                box = inboxes.get(neighbour)
+                if box is None:
+                    inboxes[neighbour] = list(envelopes)
+                else:
+                    box.extend(envelopes)
+                if self.tracer is not None:
+                    for p in parts:
+                        self.tracer.on_deliver(rnd, sender, neighbour, p)
         self._in_flight = []
         return inboxes
 
@@ -408,9 +520,9 @@ class Network:
         """Run up to ``max_rounds`` rounds.
 
         ``max_rounds`` must be non-negative (0 executes nothing and returns
-        the untouched stats).  Stops early once any handler's
-        :meth:`NodeHandler.wants_to_stop` returns True (the root
-        terminating with its output), unless ``stop_on_output`` is False.
+        the untouched stats).  Stops early once a handler called in the
+        round wants to stop (:meth:`output_ready`: the root terminating
+        with its output), unless ``stop_on_output`` is False.
         Also stops once the designated root is dead — impossible in the
         strict model, but under ``allow_root_crash`` the remaining rounds
         cannot produce an output and the failover layer takes over.
@@ -420,9 +532,7 @@ class Network:
             raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
         for _ in range(max_rounds):
             self.step()
-            if stop_on_output and any(
-                h.wants_to_stop() for h in self.handlers.values()
-            ):
+            if stop_on_output and self.output_ready():
                 break
             if self.root is not None and not self.is_alive(self.root):
                 break

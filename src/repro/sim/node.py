@@ -1,15 +1,20 @@
 """Node handler interface for protocols running on the simulator.
 
-A protocol is implemented as one :class:`NodeHandler` per node.  Each round
-the network calls :meth:`NodeHandler.on_round` with the messages delivered in
-that round; the handler returns the parts to broadcast (delivered to all live
-neighbours next round).
+A protocol is implemented as one :class:`NodeHandler` per node.  The network
+calls :meth:`NodeHandler.on_round` with the messages delivered in a round;
+the handler returns the parts to broadcast (delivered to all live neighbours
+next round).
+
+A handler is called in a round when something was delivered to it, or when
+the round is one its :meth:`NodeHandler.next_wake` declared.  The default
+declares every round, so a handler that does not override it runs in every
+round it is alive.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .message import Envelope, Part
 
@@ -31,12 +36,25 @@ class NodeHandler(ABC):
             Parts to broadcast this round (empty iterable to stay silent).
         """
 
+    def next_wake(self, rnd: int) -> Optional[int]:
+        """The next round after ``rnd`` in which this handler must run even
+        with an empty inbox; ``None`` if only a delivery can wake it.
+
+        The network asks after every call (and with ``rnd = 0`` before the
+        first round).  A handler that acts on *silence* — a timeout, a
+        phase slot, a "heard nothing from my parent" check — must declare
+        that round here, or it is never called in it.  Calling a handler
+        in a round it did not declare, with an empty inbox, must be a
+        no-op.  The default declares every round.
+        """
+        return rnd + 1
+
     def wants_to_stop(self) -> bool:
         """Whether this node (typically the root) has produced final output.
 
-        The network stops the run as soon as any handler reports ``True``
-        after a round — this models the paper's "the root ... outputs its
-        result and terminates".
+        The network stops the run as soon as a handler it called in a round
+        reports ``True`` after that round — this models the paper's "the
+        root ... outputs its result and terminates".
         """
         return False
 

@@ -25,6 +25,10 @@ from typing import Dict, List, Optional
 from ..graphs.topology import Topology
 
 
+class ModelViolation(ValueError):
+    """A configuration breaks one or more Section 2 assumptions."""
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken model assumption."""
@@ -150,7 +154,8 @@ def assert_model(
     c: int = 2,
     allow_root_crash: bool = False,
 ) -> None:
-    """Raise ValueError with all diagnostics if any assumption is broken."""
+    """Raise :class:`ModelViolation` (a ValueError) with all diagnostics
+    if any assumption is broken."""
     violations = validate_model(
         topology,
         inputs=inputs,
@@ -162,4 +167,4 @@ def assert_model(
     )
     if violations:
         details = "\n  ".join(str(v) for v in violations)
-        raise ValueError(f"model assumptions violated:\n  {details}")
+        raise ModelViolation(f"model assumptions violated:\n  {details}")

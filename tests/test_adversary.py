@@ -230,3 +230,50 @@ class TestPredictedTreeAndChains:
         )
         assert s is not None
         assert s.edge_failures(topo) <= 8
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover
+    given = None
+
+
+def _all_pairs_respects_c(schedule, topology, c):
+    """The definition: all-pairs diam(H) <= c*d after every crash time."""
+    bound = c * topology.diameter
+    for when in sorted(set(schedule.crash_rounds.values())):
+        if topology.remaining_diameter(schedule.failed_by(when)) > bound:
+            return False
+    return True
+
+
+if given is not None:
+    from repro.graphs import gnp_connected, random_tree
+
+    class TestCStretchShortcut:
+        @settings(max_examples=60, deadline=None)
+        @given(
+            kind=st.sampled_from(["gnp", "tree", "grid", "path"]),
+            n=st.integers(4, 18),
+            seed=st.integers(0, 10_000),
+            crashes=st.lists(
+                st.tuples(st.integers(0, 40), st.integers(1, 6)), max_size=6
+            ),
+            c=st.integers(1, 3),
+        )
+        def test_one_bfs_matches_all_pairs(self, kind, n, seed, crashes, c):
+            rng = random.Random(seed)
+            topology = {
+                "gnp": lambda: gnp_connected(n, 0.25, rng),
+                "tree": lambda: random_tree(n, rng),
+                "grid": lambda: grid_graph(2, n // 2),
+                "path": lambda: path_graph(n),
+            }[kind]()
+            nodes = topology.non_root_nodes()
+            schedule = FailureSchedule(
+                {nodes[i % len(nodes)]: rnd for i, rnd in crashes}
+            )
+            assert schedule.respects_c_constraint(
+                topology, c
+            ) == _all_pairs_respects_c(schedule, topology, c)

@@ -298,3 +298,28 @@ class TestFlagValidation:
         )
         assert code == 0
         assert "unknown_f" in capsys.readouterr().out
+
+
+class TestCleanErrors:
+    """Bad configurations end in one ``error:`` line, not a traceback."""
+
+    def test_model_violation_exits_2(self, capsys):
+        code = main(
+            ["run", "--protocol", "algorithm1", "--topology", "grid:4x4",
+             "-b", "40"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: model assumptions violated")
+        assert "b-feasible" in err
+        assert "Traceback" not in err
+
+    def test_churn_with_integrity_is_rejected_up_front(self):
+        with pytest.raises(SystemExit) as err:
+            main(
+                ["run", "--protocol", "unknown_f", "--topology", "grid:4x4",
+                 "--churn", "5:crash@r3,5:revive@r9", "--integrity", "mac"]
+            )
+        assert "--churn and --integrity are mutually exclusive" in str(
+            err.value
+        )
